@@ -43,9 +43,6 @@ class AcceleratedReceipt:
     outcome: str
     tally: CostTally
     ap_stats: Optional[APExecStats] = None
-    #: Ids of speculated contexts whose full read set matched reality
-    #: (non-empty => the traditional "perfect prediction" would have hit).
-    perfect_context_ids: Tuple[int, ...] = ()
     used_ap: bool = False
     #: Which execution tier produced the result: "plain" (full EVM),
     #: "walk" (interpreted AP), or "jit" (specialized closure).
@@ -54,6 +51,22 @@ class AcceleratedReceipt:
     #: ((kind, key) -> value).  The AP tiers collect these anyway; the
     #: plain path fills them only when witness recording is on.
     observed_reads: Optional[Dict[tuple, int]] = None
+    #: ``(ap, header)`` a satisfied AP execution is classified against
+    #: on the first read of :attr:`perfect_context_ids`; only committed
+    #: receipts are ever read, so discarded forks never pay for it.
+    classify_against: Optional[tuple] = field(default=None, repr=False)
+    _perfect: Tuple[int, ...] = field(default=(), init=False, repr=False)
+
+    @property
+    def perfect_context_ids(self) -> Tuple[int, ...]:
+        """Ids of speculated contexts whose full read set matched
+        reality (non-empty => the traditional "perfect prediction"
+        would have hit)."""
+        if self.classify_against is not None:
+            ap, header = self.classify_against
+            self.classify_against = None
+            self._perfect = perfect_contexts(ap, self.observed_reads, header)
+        return self._perfect
 
 
 def context_matches(read_set: Dict[tuple, int], state: StateDB,
@@ -142,9 +155,9 @@ class TransactionAccelerator:
             # The aborted constraint check's work counts too.
             receipt.tally.cpu_units += tally.cpu_units
             receipt.tally.fixed_units += tally.fixed_units
-            # A perfectly-matching context would have satisfied its own
-            # guards, so a violation is never a perfect prediction.
-            receipt.perfect_context_ids = ()
+            # The plain receipt carries no perfect contexts: a perfectly
+            # matching context would have satisfied its own guards, so
+            # a violation is never a perfect prediction.
             return receipt
         tally.io_units += state.disk.stats.cost_units - io_before
         receipt.tally = tally
@@ -192,7 +205,7 @@ class TransactionAccelerator:
                 return AcceleratedReceipt(
                     result=ExecutionResult(False, gas_used, b""),
                     outcome=OUTCOME_SATISFIED, tally=tally, used_ap=True,
-                tier="walk", observed_reads={})
+                    tier="walk", observed_reads={})
 
         if self.jit is not None:
             outcome = self.jit.execute(ap, state, header, tx, tally=tally,
@@ -216,33 +229,32 @@ class TransactionAccelerator:
             result=result, outcome=OUTCOME_SATISFIED, tally=tally,
             ap_stats=outcome.stats, used_ap=True, tier=tier,
             observed_reads=outcome.observed_reads,
-            perfect_context_ids=self._classify_from_observation(
-                ap, outcome.observed_reads, header))
+            classify_against=(ap, header))
 
-    def _classify_from_observation(
-            self, ap: AcceleratedProgram,
-            observed_reads: Dict[tuple, int],
-            header: BlockHeader) -> Tuple[int, ...]:
-        """Which speculated contexts matched reality perfectly.
 
-        Uses the values the AP execution itself observed — no extra
-        state reads, no cache-warming side effects.  A path is a
-        perfect prediction when every entry of its speculated read set
-        equals the observed value (header fields are checked against
-        the actual header even if the AP never read them via a node,
-        since promotion may have folded duplicate reads).
-        """
-        perfect = []
-        for path in ap.paths:
-            matched = True
-            for (kind, key), expected in path.read_set.items():
-                if kind == "header":
-                    actual = getattr(header, key[0])
-                else:
-                    actual = observed_reads.get((kind, key))
-                if actual != expected:
-                    matched = False
-                    break
-            if matched:
-                perfect.append(path.context_id)
-        return tuple(dict.fromkeys(perfect))
+def perfect_contexts(ap: AcceleratedProgram,
+                     observed_reads: Dict[tuple, int],
+                     header: BlockHeader) -> Tuple[int, ...]:
+    """Which speculated contexts matched reality perfectly.
+
+    Uses the values the AP execution itself observed — no extra state
+    reads, no cache-warming side effects.  A path is a perfect
+    prediction when every entry of its speculated read set equals the
+    observed value (header fields are checked against the actual header
+    even if the AP never read them via a node, since promotion may have
+    folded duplicate reads).
+    """
+    perfect = []
+    for path in ap.paths:
+        matched = True
+        for (kind, key), expected in path.read_set.items():
+            if kind == "header":
+                actual = getattr(header, key[0])
+            else:
+                actual = observed_reads.get((kind, key))
+            if actual != expected:
+                matched = False
+                break
+        if matched:
+            perfect.append(path.context_id)
+    return tuple(dict.fromkeys(perfect))

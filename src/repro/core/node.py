@@ -473,6 +473,9 @@ class ForerunnerNode:
         ``ready_at`` reflects when its last merge would really finish.
         Returns the number of pre-executions performed.
         """
+        # The last block's executed speculation state retires here,
+        # off the critical path, whether or not any job follows.
+        self.speculator.drain_retired()
         if not self.pool and not self.admission.has_backlog():
             return 0
         state_key = (self.head_number, self._pool_version)
@@ -615,7 +618,6 @@ class ForerunnerNode:
                 tx, block.header, state,
                 fixed_cost=costmodel.FALLBACK_FIXED)
             receipt.outcome = OUTCOME_FAULTED
-            receipt.perfect_context_ids = ()
         return receipt
 
     def _execute_one(self, tx: Transaction, block: Block,
@@ -636,7 +638,14 @@ class ForerunnerNode:
         receipts and all Table 2/3 numbers are byte-identical to serial
         execution at every lane count — parallelism surfaces only in
         the ``sched.*`` metrics attached to the report.
+
+        Executed transactions' speculation state is only queued for
+        retirement here; a speculation cycle drains it after commit.
         """
+        # Backstop for callers that run blocks back to back with no
+        # speculation cycle between them (catch-up sync, restarts):
+        # the queue never carries more than one block across.
+        self.speculator.drain_retired()
         self.predictor.observe_block(block)
         self.head_number = block.number
         self._block_now = now
@@ -723,7 +732,8 @@ class ForerunnerNode:
         # The canonical head advanced: every cached predecessor prefix
         # was built on the previous head's state and is now stale.
         # (Commit also bumped world.version, so stale entries could
-        # never be *hit* — this eagerly frees them.)
+        # never be *hit* — this retires them; their fork chains are
+        # freed by the next drain.)
         self.speculator.invalidate_prefixes("new-head")
         root = self.world.root()
         if block.state_root is not None and block.state_root != root:

@@ -16,9 +16,11 @@ view would have produced — the target trace is byte-identical whether
 the prefix came from the cache or was re-executed.
 
 Keys embed the world's commit ``version``, so entries can never leak
-across heads; :meth:`invalidate` additionally drops everything eagerly
-on new canonical blocks and reorgs (``chainsync`` restores world
-contents in place, which a version check alone would miss).
+across heads; :meth:`invalidate` additionally empties the cache on new
+canonical blocks and reorgs (``chainsync`` restores world contents in
+place, which a version check alone would miss).  Invalidation swaps in
+fresh maps and hands the old generation to the owner's ``retire`` hook,
+so freeing its fork chains happens off the critical path.
 
 All counters are :class:`repro.obs.registry.Counter` instruments under
 the cache's scope (``prefix_cache.*``); the legacy attribute names
@@ -30,7 +32,7 @@ see identical values.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -78,10 +80,15 @@ class PrefixCache:
 
     def __init__(self, capacity: int = 256, enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None,
-                 injector=None, jit=None) -> None:
+                 injector=None, jit=None,
+                 retire: Optional[Callable[[tuple], None]] = None) -> None:
         self.capacity = capacity
         self.enabled = enabled
         self.injector = injector
+        #: Receives each invalidated generation's maps (the speculator
+        #: releases them after the block commits).  Without a hook the
+        #: old generation is freed at once.
+        self.retire = retire
         #: Optional :class:`repro.evm.jit.tier.JitTier`.  Invalidation
         #: reasons that change code identity ("reorg") propagate to the
         #: tier from here, so every cache of derived execution
@@ -264,12 +271,18 @@ class PrefixCache:
 
     def invalidate(self, reason: str = "") -> int:
         """Drop every entry (new canonical head / reorg); returns the
-        number of entries dropped."""
+        number of entries dropped.  A non-empty generation goes to the
+        ``retire`` hook whole instead of being cleared in place."""
         dropped = len(self._entries)
-        self._entries.clear()
-        self._seen.clear()
-        self._by_tx.clear()
-        self._seen_by_tx.clear()
+        if dropped or self._seen:
+            generation = (self._entries, self._seen, self._by_tx,
+                          self._seen_by_tx)
+            self._entries = OrderedDict()
+            self._seen = set()
+            self._by_tx = {}
+            self._seen_by_tx = {}
+            if self.retire is not None:
+                self.retire(generation)
         self._g_entries.set(0)
         if dropped:
             self.c_invalidations.inc()

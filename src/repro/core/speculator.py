@@ -40,6 +40,15 @@ merged path — :func:`prune_tree` rewriting the AP, stats aggregation,
 ablation experiments — can never leak into a future dedup clone.  The
 index is bounded per transaction (LRU) and cleared on drop/discard and
 on reorgs.
+
+Retirement runs after commit, not inside the block: :meth:`Speculator.drop`
+takes an executed transaction's AP out of the memo table (journal event
+and ``memo.size`` at once) but only *queues* it, and an invalidated
+prefix-cache generation is queued the same way.  :meth:`drain_retired`
+archives the queued APs and releases everything, in block order; it runs
+at the start of every speculation cycle and of every :meth:`speculate`,
+before any memo insert or eviction can archive, so the archive's order
+is the eager order.
 """
 
 from __future__ import annotations
@@ -232,11 +241,15 @@ class Speculator:
         #: the compile side (hot traces are known here); the
         #: accelerator owns the execute side.
         self.jit = jit
+        #: Retirement queue, oldest first: dropped APs (to archive and
+        #: release) and invalidated prefix-cache generations (to
+        #: release).  At most one block's APs plus one generation.
+        self._retiring: list = []
         self.prefix_cache = PrefixCache(
             capacity=prefix_cache_capacity, enabled=enable_prefix_cache,
             registry=registry,
             injector=self.injector if self.injector.enabled else None,
-            jit=jit)
+            jit=jit, retire=self._retiring.append)
         #: The memo table: tx hash -> AcceleratedProgram, LRU-ordered.
         #: Bounded by ``memo_capacity`` (the long-sim unbounded-growth
         #: fix): recency updates happen at deterministic points of the
@@ -251,8 +264,7 @@ class Speculator:
         #: table's evolution.  No-op by default.
         self.memo_sink: Optional[Callable[[str, int], None]] = None
         self.records: List[SpeculationRecord] = []
-        #: Synthesis stats of executed-and-dropped APs (§5.5).
-        self.archive: List[ApArchive] = []
+        self._archive: List[ApArchive] = []
         # -- instruments -------------------------------------------------
         obs = registry.scope("speculator")
         self._obs = obs
@@ -306,6 +318,13 @@ class Speculator:
     @property
     def dedup_cost_saved(self) -> int:
         return self.c_dedup_cost_saved.value
+
+    @property
+    def archive(self) -> List[ApArchive]:
+        """Synthesis stats of executed-and-dropped APs (§5.5), in drop
+        order; reading it first drains the retirement queue."""
+        self.drain_retired()
+        return self._archive
 
     # -- chaos plumbing --------------------------------------------------
 
@@ -371,7 +390,7 @@ class Speculator:
 
     def _archive_ap(self, ap: AcceleratedProgram) -> None:
         if ap.paths:
-            self.archive.append(ApArchive(
+            self._archive.append(ApArchive(
                 paths=[_PathStats(p.stats) for p in ap.paths],
                 distinct_paths=ap.path_count(),
                 context_count=len(ap.context_ids),
@@ -400,8 +419,12 @@ class Speculator:
         self.g_memo_size.set(len(self.aps))
 
     def drop(self, tx_hash: int, evict_prefixes: bool = True) -> None:
-        """Forget a transaction's AP (e.g. after it was executed),
-        archiving its synthesis statistics for §5.5 reporting.
+        """Forget a transaction's AP (e.g. after it was executed).
+
+        The memo table, dedup index, ``memo.size`` gauge and journal
+        event change at once; archiving the AP's synthesis statistics
+        for §5.5 and releasing its tree wait in the retirement queue
+        for :meth:`drain_retired`.
 
         ``evict_prefixes=False`` skips the per-transaction prefix-cache
         sweep; it is only correct when the caller invalidates the whole
@@ -414,9 +437,20 @@ class Speculator:
             self.prefix_cache.evict_tx(tx_hash)
         ap = self.aps.pop(tx_hash, None)
         if ap is not None:
-            self._archive_ap(ap)
+            self._retiring.append(ap)
             self.g_memo_size.set(len(self.aps))
             self._memo_event("drop", tx_hash)
+
+    def drain_retired(self) -> None:
+        """Archive the queued APs and release every queued item, in
+        the order they were retired."""
+        if not self._retiring:
+            return
+        retiring = self._retiring[:]
+        self._retiring.clear()
+        for item in retiring:
+            if isinstance(item, AcceleratedProgram):
+                self._archive_ap(item)
 
     def discard(self, tx_hash: int) -> None:
         """Forget a transaction's AP *and* its dedup fingerprints
@@ -561,6 +595,9 @@ class Speculator:
         abort a batch or escape to the node; transient storage faults
         are retried with cost-unit backoff first.
         """
+        # Retire first: an eviction below archives, and the archive must
+        # keep drop order.
+        self.drain_retired()
         with self.tracer.span("speculate", tx=tx.hash,
                               context=context.context_id) as root_span:
             path, faulted = self.guard.run(

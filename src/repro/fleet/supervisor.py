@@ -636,8 +636,14 @@ class FleetSupervisor:
         valid coordinator lease (expired, or the holder is down) means
         no speculation this cycle — the safety half of the no-split-
         brain argument.  Speculation is pure acceleration, so a halt
-        never moves commitments."""
+        never moves commitments.
+
+        Every live replica retires its last block's speculation state
+        here first: replicas that get no job this cycle would otherwise
+        carry it into their next block."""
         self._now = now
+        for replica_id in self.live():
+            self.replicas[replica_id].node.speculator.drain_retired()
         if self.wire is not None:
             if (not self.lease.valid(self.coordinator_id, now)
                     or not self.is_up(self.coordinator_id)):

@@ -411,11 +411,12 @@ class ParallelBlockExecutor:
         # Conflict graph over the optimistic access sets (metrics +
         # the greedy what-if schedule; the authoritative abort decision
         # interleaves with commit below, where actual writes live).
+        accesses = [fork.access_set() for fork in forks]
+
         def scan():
             self.injector.maybe_raise("sched.conflict_scan",
                                       block=block.number)
-            return build_conflict_graph(
-                [fork.access_set() for fork in forks])
+            return build_conflict_graph(accesses)
 
         if self.guard is not None:
             graph, scan_faulted = self.guard.run(
@@ -439,7 +440,7 @@ class ParallelBlockExecutor:
         for index, tx in enumerate(plans):
             fork = forks[index]
             receipt = fork_receipts[index]
-            access = fork.access_set()
+            access = accesses[index]
             completion = lane_set.completions[index]
             reason = forced[index]
             if not reason and access.entangled:
